@@ -556,8 +556,14 @@ func (e *Engine) unjustifiedGates() []gateAt {
 	e.stats.FrontierSkips += e.frames*e.nl.NumGates() - checked
 	e.scanBuf = cand[:0]
 	e.unjustBuf = out
-	// Reset the dirty set: a generation bump invalidates every stamp at
-	// once; the rare uint32 wrap falls back to zeroing the array.
+	e.clearDirty()
+	return out
+}
+
+// clearDirty empties the frontier's dirty set: a generation bump
+// invalidates every stamp at once; the rare uint32 wrap falls back to
+// zeroing the array.
+func (e *Engine) clearDirty() {
 	e.dirtyList = e.dirtyList[:0]
 	e.dirtyGen++
 	if e.dirtyGen == 0 {
@@ -567,7 +573,6 @@ func (e *Engine) unjustifiedGates() []gateAt {
 		e.dirtyGen = 1
 	}
 	e.idEvent = false
-	return out
 }
 
 // fullUnjustifiedScan is the reference O(frames×gates) scan the

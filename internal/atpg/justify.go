@@ -77,7 +77,15 @@ func (e *Engine) Solve() Status {
 	}
 	e.incomplete = false
 	stack := e.decStack[:0]
-	defer func() { e.decStack = stack[:0] }()
+	defer func() {
+		// Decisions still open at return are dead (the next Solve starts
+		// from an empty stack): recycle them so a reused engine stays
+		// allocation-free.
+		for _, d := range stack {
+			e.putDecision(d)
+		}
+		e.decStack = stack[:0]
+	}()
 
 	// chronological is the pre-backjumping conflict resolution: flip
 	// the most recent decision with alternatives left, no analysis.

@@ -101,12 +101,7 @@ func (c *Session) addDomains(eng *atpg.Engine, fixpointOnly bool) {
 				},
 			})
 		} else {
-			eng.AddDomain(atpg.Domain{
-				Sig: m.Q, FeasibleIn: m.FeasibleIn,
-				Enumerate: func(f int, cube bv.BV, fn func(uint64) bool) {
-					m.EnumerateIn(f, cube, fn)
-				},
-			})
+			eng.AddDomain(atpg.Domain{Sig: m.Q, FeasibleIn: m.FeasibleIn, Enumerate: m.EnumerateIn})
 		}
 	}
 }

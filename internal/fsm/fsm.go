@@ -6,12 +6,12 @@
 // states".
 //
 // A local FSM is a narrow register with a known reset value. For each
-// concrete state v the candidate successors are computed by word-level
-// implication (atpg.SuccessorSet): u is a successor unless the joint
-// assignment {Q = v, D = u} is refuted by propagation with everything
-// else unknown. This is a sound over-approximation of the true
-// transition relation — no decisions are made — yet far tighter than a
-// single three-valued cube of the D input. Iterating from the reset
+// concrete state v the candidate successors are the completions of the
+// D cube word-level implication derives from Q = v (atpg.Prober), and
+// u is kept unless a bounded search refutes the joint assignment
+// {Q = v, D = u} with everything else unknown. This is a sound
+// over-approximation of the true transition relation, yet far tighter
+// than a single three-valued cube of the D input. Iterating from the reset
 // value yields, per time frame, the register's reachable value set (its
 // state transition graph unrolled); the fixpoint set is an invariant.
 // The ATPG engine consults these sets to reject assignments that would
@@ -20,7 +20,7 @@
 package fsm
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/atpg"
 	"repro/internal/bv"
@@ -33,37 +33,38 @@ type Machine struct {
 	Q     netlist.SignalID
 	Width int
 	// Succ maps each reached state to its possible successor values
-	// (sound over-approximation). Only reached states are probed, so
-	// wide registers with small reachable sets stay cheap.
+	// (sound over-approximation, ascending). Only reached states are
+	// probed, so wide registers with small reachable sets stay cheap.
 	Succ map[uint64][]uint64
-	// ReachAt[f] is the set of values reachable within f steps of the
-	// initial value; ReachAt[len-1] is the fixpoint.
-	ReachAt []map[uint64]bool
+	// ReachAt[f] is the ascending set of values reachable within f
+	// steps of the initial value; ReachAt[len-1] is the fixpoint.
+	ReachAt [][]uint64
 }
 
-// Fixpoint returns the full reachable set (sorted).
-func (m *Machine) Fixpoint() []uint64 {
-	last := m.ReachAt[len(m.ReachAt)-1]
-	out := make([]uint64, 0, len(last))
-	for v := range last {
-		out = append(out, v)
+// at returns the reachable set of a frame; frames past the fixpoint
+// share it.
+func (m *Machine) at(frame int) []uint64 {
+	if frame >= len(m.ReachAt) {
+		frame = len(m.ReachAt) - 1
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.ReachAt[frame]
+}
+
+// Fixpoint returns a copy of the full reachable set (ascending).
+func (m *Machine) Fixpoint() []uint64 {
+	return slices.Clone(m.ReachAt[len(m.ReachAt)-1])
 }
 
 // AllowedAt reports whether value v is in the reachable set within
 // frame steps of reset.
 func (m *Machine) AllowedAt(frame int, v uint64) bool {
-	if frame >= len(m.ReachAt) {
-		frame = len(m.ReachAt) - 1
-	}
-	return m.ReachAt[frame][v]
+	_, ok := slices.BinarySearch(m.at(frame), v)
+	return ok
 }
 
 // AllowedEver reports whether v is reachable at any depth.
 func (m *Machine) AllowedEver(v uint64) bool {
-	return m.ReachAt[len(m.ReachAt)-1][v]
+	return m.AllowedAt(len(m.ReachAt)-1, v)
 }
 
 // Restricts reports whether the machine actually excludes any value —
@@ -79,10 +80,7 @@ func (m *Machine) Restricts() bool {
 // lies inside the cube — the engine-side domain check, pruning partial
 // assignments that can no longer complete to a reachable state.
 func (m *Machine) FeasibleIn(frame int, cube bv.BV) bool {
-	if frame >= len(m.ReachAt) {
-		frame = len(m.ReachAt) - 1
-	}
-	for v := range m.ReachAt[frame] {
+	for _, v := range m.at(frame) {
 		if cube.Contains(v) {
 			return true
 		}
@@ -94,19 +92,8 @@ func (m *Machine) FeasibleIn(frame int, cube bv.BV) bool {
 // that lies inside the cube, in ascending order, until fn returns
 // false.
 func (m *Machine) EnumerateIn(frame int, cube bv.BV, fn func(v uint64) bool) {
-	if frame >= len(m.ReachAt) {
-		frame = len(m.ReachAt) - 1
-	}
-	set := m.ReachAt[frame]
-	vals := make([]uint64, 0, len(set))
-	for v := range set {
-		if cube.Contains(v) {
-			vals = append(vals, v)
-		}
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, v := range vals {
-		if !fn(v) {
+	for _, v := range m.at(frame) {
+		if cube.Contains(v) && !fn(v) {
 			return
 		}
 	}
@@ -143,23 +130,47 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// successorFunc answers one state's successor query (see
+// atpg.Prober.Successors).
+type successorFunc func(ff netlist.GateID, v uint64, maxCands int) []uint64
+
 // Extract analyses every narrow register with a fully-known initial
 // value and returns the machines whose reachable sets actually restrict
-// the value space.
+// the value space. All probes of one call run on a single
+// atpg.Prober, built on the first register that qualifies and dropped
+// on return.
 func Extract(nl *netlist.Netlist, opts Options) ([]*Machine, error) {
+	return extract(nl, opts, func() (successorFunc, error) {
+		p, err := atpg.NewProber(nl)
+		if err != nil {
+			return nil, err
+		}
+		return p.Successors, nil
+	})
+}
+
+// extract is Extract over the successor function newSucc builds, which
+// it calls at most once, on the first register that qualifies.
+func extract(nl *netlist.Netlist, opts Options, newSucc func() (successorFunc, error)) ([]*Machine, error) {
 	opts = opts.withDefaults()
 	if _, err := nl.TopoOrder(); err != nil {
 		return nil, err
 	}
 	var out []*Machine
+	var succ successorFunc
 	for _, ff := range nl.FFs {
 		g := &nl.Gates[ff]
 		w := nl.Width(g.Out)
-		if w > opts.MaxWidth || !g.Init.IsFullyKnown() {
+		if w > opts.MaxWidth || w > 64 || !g.Init.IsFullyKnown() {
 			continue
 		}
-		m := extractOne(nl, ff, opts)
-		if m != nil && m.Restricts() {
+		if succ == nil {
+			var err error
+			if succ, err = newSucc(); err != nil {
+				return nil, err
+			}
+		}
+		if m := extractOne(nl, ff, opts, succ); m != nil {
 			out = append(out, m)
 		}
 	}
@@ -169,42 +180,48 @@ func Extract(nl *netlist.Netlist, opts Options) ([]*Machine, error) {
 // extractOne builds the state transition graph of one register via
 // implication probing, lazily: only reached states are probed, so the
 // cost scales with the reachable set, not 2^width. Returns nil when a
-// probe yields no information (too many candidates) or the reachable
-// set exceeds the budget.
-func extractOne(nl *netlist.Netlist, ff netlist.GateID, opts Options) *Machine {
+// probe yields no information (too many candidates), the reachable set
+// exceeds the budget, or it covers the whole value range — in each case
+// the machine could not restrict anything, so exploring stops at once.
+func extractOne(nl *netlist.Netlist, ff netlist.GateID, opts Options, succOf successorFunc) *Machine {
 	g := &nl.Gates[ff]
 	q := g.Out
 	w := nl.Width(q)
 	m := &Machine{FF: ff, Q: q, Width: w, Succ: map[uint64][]uint64{}}
+	full := -1 // size of the whole value range, when it is enumerable
+	if w < 63 {
+		full = 1 << uint(w)
+	}
 	init, _ := g.Init.Uint64()
-	cur := map[uint64]bool{init: true}
+	cur := []uint64{init}
+	seen := map[uint64]bool{init: true}
 	m.ReachAt = append(m.ReachAt, cur)
 	for {
-		next := make(map[uint64]bool, len(cur))
-		for v := range cur {
-			next[v] = true
+		next := slices.Clone(cur)
+		for _, v := range cur {
 			succ, ok := m.Succ[v]
 			if !ok {
-				succ = atpg.SuccessorSet(nl, ff, v, opts.MaxCands)
+				succ = succOf(ff, v, opts.MaxCands)
 				if succ == nil {
 					return nil // next state too free: no information
 				}
 				m.Succ[v] = succ
 			}
 			for _, u := range succ {
-				next[u] = true
+				if !seen[u] {
+					seen[u] = true
+					next = append(next, u)
+				}
+			}
+			if len(next) > opts.MaxStates || len(next) == full {
+				return nil
 			}
 		}
-		if len(next) > opts.MaxStates {
-			return nil
-		}
+		slices.Sort(next)
 		m.ReachAt = append(m.ReachAt, next)
 		if len(next) == len(cur) {
 			return m
 		}
 		cur = next
-		if len(m.ReachAt) > opts.MaxStates+1 {
-			return m
-		}
 	}
 }
