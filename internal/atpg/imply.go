@@ -108,11 +108,7 @@ func (e *Engine) implyGate(frame int, gid netlist.GateID) bool {
 		}
 		return true
 	case netlist.KSlice:
-		in0 := bv.NewX(e.nl.Width(g.In[0]))
-		for i := g.Lo; i <= g.Hi; i++ {
-			in0 = in0.WithBit(i, out.Bit(i-g.Lo))
-		}
-		return e.assign(frame, g.In[0], in0)
+		return e.assign(frame, g.In[0], bv.BackSlice(out, g.Lo, e.nl.Width(g.In[0])))
 	case netlist.KZext:
 		inW := e.nl.Width(g.In[0])
 		// High output bits must be zero when the output is wider.

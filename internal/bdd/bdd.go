@@ -1,8 +1,19 @@
 // Package bdd implements reduced ordered binary decision diagrams
-// (Bryant, paper ref. [12]) with a hashed unique table and memoized
-// apply — the substrate of the BDD-based symbolic model checking
-// baseline (internal/mc) whose memory behaviour §1 and §5 contrast
-// with the ATPG approach.
+// (Bryant, paper ref. [12]) — the substrate of the BDD-based symbolic
+// model checking baseline (internal/mc) whose memory behaviour §1 and
+// §5 contrast with the ATPG approach.
+//
+// The manager is built the way a production BDD package is (Brace,
+// Rudell, Bryant, "Efficient Implementation of a BDD Package", DAC
+// 1990): every table is a flat, manager-owned array rather than a Go
+// map. The unique table is an open-addressed []Ref with linear probing;
+// the apply memo is an exact open-addressed table keyed by (op, f, g);
+// AndExists, Exists and Rename share one reusable per-call memo that a
+// generation stamp clears in O(1) at the start of each public call.
+// Memoisation only decides how often a sub-result is recomputed, and a
+// recomputation finds the nodes the first computation created, so node
+// creation order — Refs, NumNodes, the MaxNodes panic point and the
+// Interrupt poll cadence — is independent of the tables' layout.
 package bdd
 
 import "fmt"
@@ -23,11 +34,6 @@ type node struct {
 	lo, hi Ref
 }
 
-type applyKey struct {
-	op   uint8
-	f, g Ref
-}
-
 // Op codes for Apply.
 const (
 	opAnd uint8 = iota
@@ -35,11 +41,49 @@ const (
 	opXor
 )
 
+// applyEntry is one apply-memo slot. f == 0 marks an empty slot: no
+// memoized operand pair contains False (terminalApply resolves every
+// such pair), and the smaller operand comes first.
+type applyEntry struct {
+	f, g, r Ref
+	op      uint8
+}
+
+// memoEntry is one per-call memo slot, live only while gen equals the
+// manager's current memo generation. AndExists keys are (f, g) with
+// both operands non-terminal; Exists and Rename keys are (f, False).
+type memoEntry struct {
+	gen     uint32
+	f, g, r Ref
+}
+
+// minTable is the initial bucket count of every hash table; tables
+// double when more than 3/4 full.
+const minTable = 256
+
 // Manager owns the node pool. The zero value is not usable; call New.
 type Manager struct {
-	nodes    []node
-	unique   map[node]Ref
-	apply    map[applyKey]Ref
+	nodes []node
+	// unique is the unique table: a power-of-two bucket array of node
+	// Refs probed linearly from hash3(level, lo, hi); 0 marks an empty
+	// bucket (the terminals are never stored).
+	unique []Ref
+	// apply memoizes And/Or/Xor exactly: an entry is never evicted. A
+	// lossy direct-mapped cache makes the quantification recursion
+	// recompute evicted subproblems; at 2^14 slots industry_01's BDD
+	// job took 47 s instead of under 1 s.
+	apply  []applyEntry
+	applyN int
+	// memo is the per-call memo of AndExists, Exists and Rename;
+	// memoGen is the generation of the running call, memoN its live
+	// entry count.
+	memo    []memoEntry
+	memoN   int
+	memoGen uint32
+	// quant and renameTo are the operands of the running quantifier or
+	// rename call, read by the recursions.
+	quant    []bool
+	renameTo []int
 	nVars    int
 	MaxNodes int // 0 = unlimited; exceeded operations panic with ErrNodeLimit
 	// Interrupt, when non-nil, is polled every interruptInterval node
@@ -50,11 +94,13 @@ type Manager struct {
 	// Unknown verdict.
 	Interrupt func() bool
 	allocs    int
-	// Size's generation-stamped visited marks and DFS stack, reused
-	// across calls (Size runs once per relational-product step).
-	sizeSeen  []uint32
-	sizeGen   uint32
-	sizeStack []Ref
+	// Generation-stamped visited marks, DFS stack and count scratch of
+	// the read-only traversals (Size, Support, SatCount), reused across
+	// calls: Size runs after every relational-product step.
+	seen    []uint32
+	seenGen uint32
+	stack   []Ref
+	counts  []float64
 }
 
 // ErrNodeLimit is panicked (and recovered by the model checker) when
@@ -75,8 +121,9 @@ const interruptInterval = 4096
 func New(n int) *Manager {
 	m := &Manager{
 		nodes:  make([]node, 2, 1024),
-		unique: map[node]Ref{},
-		apply:  map[applyKey]Ref{},
+		unique: make([]Ref, minTable),
+		apply:  make([]applyEntry, minTable),
+		memo:   make([]memoEntry, minTable),
 		nVars:  n,
 	}
 	m.nodes[0] = node{level: termLevel}
@@ -110,22 +157,19 @@ func (m *Manager) Snapshot() []Node {
 // NewFromSnapshot returns a fresh manager with n variables whose node
 // table is pre-populated from a Snapshot. The nodes were canonical in
 // the source manager, so they are inserted verbatim (no re-reduction)
-// and receive the same Refs they had at Snapshot time; the memoized
-// apply cache starts empty. This is how a compiled transition relation
-// is shared across concurrent sessions: one immutable snapshot, one
-// cheap private manager per session.
+// and receive the same Refs they had at Snapshot time; the unique table
+// is presized for them and the memos start empty. This is how a
+// compiled transition relation is shared across concurrent sessions:
+// one immutable snapshot, one cheap private manager per session.
 func NewFromSnapshot(n int, nodes []Node) *Manager {
 	m := New(n)
 	m.nodes = make([]node, 2, 2+len(nodes))
 	m.nodes[0] = node{level: termLevel}
 	m.nodes[1] = node{level: termLevel}
-	m.unique = make(map[node]Ref, len(nodes))
 	for _, sn := range nodes {
-		key := node{level: sn.Level, lo: sn.Lo, hi: sn.Hi}
-		r := Ref(len(m.nodes))
-		m.nodes = append(m.nodes, key)
-		m.unique[key] = r
+		m.nodes = append(m.nodes, node{level: sn.Level, lo: sn.Lo, hi: sn.Hi})
 	}
+	m.rehashUnique(tableSize(len(nodes)))
 	return m
 }
 
@@ -134,14 +178,55 @@ func (m *Manager) NumVars() int { return m.nVars }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
-// mk returns the canonical node (level, lo, hi).
+// tableSize returns the bucket count for n entries: the smallest power
+// of two, at least minTable, that keeps the load at or under 3/4.
+func tableSize(n int) int {
+	size := minTable
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// hash3 mixes three 32-bit keys into a 64-bit hash (multiply by odd
+// constants, then xor-shift-multiply finalization so every input bit
+// reaches the low bits the bucket mask keeps).
+func hash3(a, b, c uint32) uint64 {
+	h := uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xc2b2ae3d27d4eb4f ^ uint64(c)*0x165667b19e3779f9
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	return h
+}
+
+// rehashUnique rebuilds the unique table with size buckets from the
+// node pool.
+func (m *Manager) rehashUnique(size int) {
+	m.unique = make([]Ref, size)
+	mask := uint64(size - 1)
+	for r := 2; r < len(m.nodes); r++ {
+		n := m.nodes[r]
+		i := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & mask
+		for m.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = Ref(r)
+	}
+}
+
+// mk returns the canonical node (level, lo, hi). A node is created only
+// when the unique-table lookup misses.
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := node{level: level, lo: lo, hi: hi}
-	if r, ok := m.unique[key]; ok {
-		return r
+	mask := uint64(len(m.unique) - 1)
+	i := hash3(uint32(level), uint32(lo), uint32(hi)) & mask
+	for r := m.unique[i]; r != 0; r = m.unique[i] {
+		if n := m.nodes[r]; n.level == level && n.lo == lo && n.hi == hi {
+			return r
+		}
+		i = (i + 1) & mask
 	}
 	if m.MaxNodes > 0 && len(m.nodes) >= m.MaxNodes {
 		panic(ErrNodeLimit)
@@ -151,8 +236,11 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		panic(ErrInterrupted)
 	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, key)
-	m.unique[key] = r
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	m.unique[i] = r
+	if 4*(len(m.nodes)-2) > 3*len(m.unique) {
+		m.rehashUnique(2 * len(m.unique))
+	}
 	return r
 }
 
@@ -231,17 +319,46 @@ func terminalApply(op uint8, f, g Ref) (Ref, bool) {
 	return 0, false
 }
 
+// applySlot returns the apply-memo slot of (op, f, g): the entry
+// holding that key, or the empty slot where it belongs.
+func (m *Manager) applySlot(op uint8, f, g Ref) *applyEntry {
+	mask := uint64(len(m.apply) - 1)
+	i := hash3(uint32(op), uint32(f), uint32(g)) & mask
+	for {
+		e := &m.apply[i]
+		if e.f == 0 || (e.f == f && e.g == g && e.op == op) {
+			return e
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// putApply records op(f, g) = r, doubling the table past 3/4 load.
+func (m *Manager) putApply(op uint8, f, g, r Ref) {
+	*m.applySlot(op, f, g) = applyEntry{f: f, g: g, r: r, op: op}
+	m.applyN++
+	if 4*m.applyN <= 3*len(m.apply) {
+		return
+	}
+	old := m.apply
+	m.apply = make([]applyEntry, 2*len(old))
+	for _, e := range old {
+		if e.f != 0 {
+			*m.applySlot(e.op, e.f, e.g) = e
+		}
+	}
+}
+
 func (m *Manager) applyOp(op uint8, f, g Ref) Ref {
 	if r, ok := terminalApply(op, f, g); ok {
 		return r
 	}
-	// Normalize operand order for the commutative cache.
+	// Normalize operand order for the commutative memo.
 	if f > g {
 		f, g = g, f
 	}
-	key := applyKey{op, f, g}
-	if r, ok := m.apply[key]; ok {
-		return r
+	if e := m.applySlot(op, f, g); e.f != 0 {
+		return e.r
 	}
 	lf, lg := m.level(f), m.level(g)
 	top := lf
@@ -260,69 +377,138 @@ func (m *Manager) applyOp(op uint8, f, g Ref) Ref {
 		g0, g1 = g, g
 	}
 	r := m.mk(top, m.applyOp(op, f0, g0), m.applyOp(op, f1, g1))
-	m.apply[key] = r
+	// The recursion may have grown the table: probe again.
+	m.putApply(op, f, g, r)
 	return r
 }
 
-// AndExists returns ∃Q. f ∧ g where Q is the set of variables for
-// which quant returns true — the relational product of symbolic image
-// computation (Burch/Clarke/Long). Computing the conjunction and the
-// quantification in one recursion never materializes the full product
-// f ∧ g: whenever the top variable is quantified, a True low branch
-// short-circuits the high branch entirely. The memo is per-call
-// because it is only valid for one quantifier set.
-func (m *Manager) AndExists(f, g Ref, quant func(v int) bool) Ref {
-	memo := map[applyKey]Ref{}
-	var rec func(f, g Ref) Ref
-	rec = func(f, g Ref) Ref {
-		if f == False || g == False {
-			return False
+// beginCall starts a new per-call memo generation, which invalidates
+// every entry of the previous call in O(1). On wrap-around the stamps
+// are cleared so no stale entry can match a reused generation.
+func (m *Manager) beginCall() {
+	if m.memoGen == ^uint32(0) {
+		clear(m.memo)
+		m.memoGen = 0
+	}
+	m.memoGen++
+	m.memoN = 0
+}
+
+// memoSlot returns the per-call memo slot of (f, g): the live entry
+// holding that key, or the slot (empty or stale) where it belongs.
+func (m *Manager) memoSlot(f, g Ref) *memoEntry {
+	mask := uint64(len(m.memo) - 1)
+	i := hash3(uint32(f), uint32(g), 0) & mask
+	for {
+		e := &m.memo[i]
+		if e.gen != m.memoGen || (e.f == f && e.g == g) {
+			return e
 		}
-		if f == True && g == True {
-			return True
+		i = (i + 1) & mask
+	}
+}
+
+// memoGet looks (f, g) up in the running call's memo.
+func (m *Manager) memoGet(f, g Ref) (Ref, bool) {
+	e := m.memoSlot(f, g)
+	return e.r, e.gen == m.memoGen
+}
+
+// memoPut records (f, g) -> r for the running call, doubling the table
+// past 3/4 load (only live entries move).
+func (m *Manager) memoPut(f, g, r Ref) {
+	*m.memoSlot(f, g) = memoEntry{gen: m.memoGen, f: f, g: g, r: r}
+	m.memoN++
+	if 4*m.memoN <= 3*len(m.memo) {
+		return
+	}
+	old := m.memo
+	m.memo = make([]memoEntry, 2*len(old))
+	for _, e := range old {
+		if e.gen == m.memoGen {
+			*m.memoSlot(e.f, e.g) = e
 		}
-		if f == True {
-			return m.Exists(g, quant)
-		}
-		if g == True {
-			return m.Exists(f, quant)
-		}
-		if f > g {
-			f, g = g, f
-		}
-		key := applyKey{opAnd, f, g}
-		if r, ok := memo[key]; ok {
-			return r
-		}
-		lf, lg := m.level(f), m.level(g)
-		top := lf
-		if lg < top {
-			top = lg
-		}
-		var f0, f1, g0, g1 Ref
-		if lf == top {
-			f0, f1 = m.nodes[f].lo, m.nodes[f].hi
-		} else {
-			f0, f1 = f, f
-		}
-		if lg == top {
-			g0, g1 = m.nodes[g].lo, m.nodes[g].hi
-		} else {
-			g0, g1 = g, g
-		}
-		var r Ref
-		if quant(int(top)) {
-			r = rec(f0, g0)
-			if r != True {
-				r = m.Or(r, rec(f1, g1))
-			}
-		} else {
-			r = m.mk(top, rec(f0, g0), rec(f1, g1))
-		}
-		memo[key] = r
+	}
+}
+
+// AndExists returns ∃Q. f ∧ g where Q is the set of variables v with
+// quant[v] true (quant has at least NumVars entries) — the relational
+// product of symbolic image computation (Burch/Clarke/Long). Computing
+// the conjunction and the quantification in one recursion never
+// materializes the full product f ∧ g: whenever the top variable is
+// quantified, a True low branch short-circuits the high branch
+// entirely. The memo is per-call because it is only valid for one
+// quantifier set; the Exists reached through a True operand quantifies
+// the same set, so it shares the call's memo generation.
+func (m *Manager) AndExists(f, g Ref, quant []bool) Ref {
+	m.beginCall()
+	m.quant = quant
+	return m.andExists(f, g)
+}
+
+func (m *Manager) andExists(f, g Ref) Ref {
+	if f == False || g == False {
+		return False
+	}
+	if f == True && g == True {
+		return True
+	}
+	if f == True {
+		return m.exists(g)
+	}
+	if g == True {
+		return m.exists(f)
+	}
+	if f > g {
+		f, g = g, f
+	}
+	if r, ok := m.memoGet(f, g); ok {
 		return r
 	}
-	return rec(f, g)
+	lf, lg := m.level(f), m.level(g)
+	top := lf
+	if lg < top {
+		top = lg
+	}
+	var f0, f1, g0, g1 Ref
+	if lf == top {
+		f0, f1 = m.nodes[f].lo, m.nodes[f].hi
+	} else {
+		f0, f1 = f, f
+	}
+	if lg == top {
+		g0, g1 = m.nodes[g].lo, m.nodes[g].hi
+	} else {
+		g0, g1 = g, g
+	}
+	var r Ref
+	if m.quant[top] {
+		r = m.andExists(f0, g0)
+		if r != True {
+			r = m.Or(r, m.andExists(f1, g1))
+		}
+	} else {
+		r = m.mk(top, m.andExists(f0, g0), m.andExists(f1, g1))
+	}
+	m.memoPut(f, g, r)
+	return r
+}
+
+// visit starts a traversal generation over the node table: a node r
+// has been visited in it iff seen[r] == gen. The marks grow
+// geometrically with the node table, so a run allocates them O(log n)
+// times however often it calls Size.
+func (m *Manager) visit() (gen uint32) {
+	if len(m.seen) < len(m.nodes) {
+		m.seen = make([]uint32, max(len(m.nodes), 2*len(m.seen)))
+		m.seenGen = 0
+	}
+	if m.seenGen == ^uint32(0) {
+		clear(m.seen)
+		m.seenGen = 0
+	}
+	m.seenGen++
+	return m.seenGen
 }
 
 // Support marks the variables f depends on in mark (which must have
@@ -330,135 +516,138 @@ func (m *Manager) AndExists(f, g Ref, quant func(v int) bool) Ref {
 // are left untouched, so one slice can accumulate the union support
 // of several functions.
 func (m *Manager) Support(f Ref, mark []bool) {
-	seen := map[Ref]bool{}
-	var rec func(Ref)
-	rec = func(f Ref) {
-		if f == True || f == False || seen[f] {
-			return
-		}
-		seen[f] = true
-		n := m.nodes[f]
-		mark[n.level] = true
-		rec(n.lo)
-		rec(n.hi)
+	if f == True || f == False {
+		return
 	}
-	rec(f)
+	gen := m.visit()
+	m.stack = append(m.stack[:0], f)
+	m.seen[f] = gen
+	for len(m.stack) > 0 {
+		n := m.nodes[m.stack[len(m.stack)-1]]
+		m.stack = m.stack[:len(m.stack)-1]
+		mark[n.level] = true
+		m.push(n.lo, gen)
+		m.push(n.hi, gen)
+	}
+}
+
+// push stacks r for a traversal unless it is a terminal or already
+// visited in generation gen.
+func (m *Manager) push(r Ref, gen uint32) {
+	if r > True && m.seen[r] != gen {
+		m.seen[r] = gen
+		m.stack = append(m.stack, r)
+	}
 }
 
 // Size returns the number of non-terminal nodes in f — the memory
 // cost of that one function, as opposed to NumNodes, the manager-wide
-// allocation count. The visited set is a flat bool slice indexed by
-// Ref rather than a map: Size runs after every relational-product
-// step on BDDs that can reach millions of nodes, where per-node map
-// hashing would cost more than the product itself.
+// allocation count. Size runs after every relational-product step on
+// BDDs that can reach millions of nodes, so it uses the stamped marks
+// rather than a visited map.
 func (m *Manager) Size(f Ref) int {
 	if f == True || f == False {
 		return 0
 	}
-	// Generation-stamped visited marks: one amortized allocation per
-	// manager growth, zero clearing per call.
-	if len(m.sizeSeen) < len(m.nodes) || m.sizeGen == ^uint32(0) {
-		m.sizeSeen = make([]uint32, len(m.nodes))
-		m.sizeGen = 0
-	}
-	m.sizeGen++
-	gen := m.sizeGen
-	m.sizeStack = append(m.sizeStack[:0], f)
-	m.sizeSeen[f] = gen
+	gen := m.visit()
+	m.stack = append(m.stack[:0], f)
+	m.seen[f] = gen
 	count := 0
-	for len(m.sizeStack) > 0 {
-		r := m.sizeStack[len(m.sizeStack)-1]
-		m.sizeStack = m.sizeStack[:len(m.sizeStack)-1]
+	for len(m.stack) > 0 {
+		n := m.nodes[m.stack[len(m.stack)-1]]
+		m.stack = m.stack[:len(m.stack)-1]
 		count++
-		n := m.nodes[r]
-		if n.lo > True && m.sizeSeen[n.lo] != gen {
-			m.sizeSeen[n.lo] = gen
-			m.sizeStack = append(m.sizeStack, n.lo)
-		}
-		if n.hi > True && m.sizeSeen[n.hi] != gen {
-			m.sizeSeen[n.hi] = gen
-			m.sizeStack = append(m.sizeStack, n.hi)
-		}
+		m.push(n.lo, gen)
+		m.push(n.hi, gen)
 	}
 	return count
 }
 
-// Exists existentially quantifies all variables for which quant
-// returns true.
-func (m *Manager) Exists(f Ref, quant func(v int) bool) Ref {
-	memo := map[Ref]Ref{}
-	var rec func(Ref) Ref
-	rec = func(f Ref) Ref {
-		if f == True || f == False {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		n := m.nodes[f]
-		lo, hi := rec(n.lo), rec(n.hi)
-		var r Ref
-		if quant(int(n.level)) {
-			r = m.Or(lo, hi)
-		} else {
-			r = m.mk(n.level, lo, hi)
-		}
-		memo[f] = r
-		return r
-	}
-	return rec(f)
+// Exists existentially quantifies every variable v with quant[v] true
+// (quant has at least NumVars entries).
+func (m *Manager) Exists(f Ref, quant []bool) Ref {
+	m.beginCall()
+	m.quant = quant
+	return m.exists(f)
 }
 
-// Rename maps each variable to rename(v); the mapping must be strictly
-// monotone on the variables present in f (order-preserving), or the
-// result would not be reduced-ordered.
-func (m *Manager) Rename(f Ref, rename func(v int) int) Ref {
-	memo := map[Ref]Ref{}
-	var rec func(Ref) Ref
-	rec = func(f Ref) Ref {
-		if f == True || f == False {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		n := m.nodes[f]
-		r := m.mk(int32(rename(int(n.level))), rec(n.lo), rec(n.hi))
-		memo[f] = r
+func (m *Manager) exists(f Ref) Ref {
+	if f == True || f == False {
+		return f
+	}
+	if r, ok := m.memoGet(f, False); ok {
 		return r
 	}
-	return rec(f)
+	n := m.nodes[f]
+	lo, hi := m.exists(n.lo), m.exists(n.hi)
+	var r Ref
+	if m.quant[n.level] {
+		r = m.Or(lo, hi)
+	} else {
+		r = m.mk(n.level, lo, hi)
+	}
+	m.memoPut(f, False, r)
+	return r
+}
+
+// Rename maps each variable v to to[v]; the mapping must be strictly
+// monotone on the variables present in f (order-preserving), or the
+// result would not be reduced-ordered.
+func (m *Manager) Rename(f Ref, to []int) Ref {
+	m.beginCall()
+	m.renameTo = to
+	return m.rename(f)
+}
+
+func (m *Manager) rename(f Ref) Ref {
+	if f == True || f == False {
+		return f
+	}
+	if r, ok := m.memoGet(f, False); ok {
+		return r
+	}
+	n := m.nodes[f]
+	r := m.mk(int32(m.renameTo[n.level]), m.rename(n.lo), m.rename(n.hi))
+	m.memoPut(f, False, r)
+	return r
 }
 
 // SatCount returns the number of satisfying assignments over the full
 // variable set (as float64 — counts overflow uint64 quickly).
 func (m *Manager) SatCount(f Ref) float64 {
-	lvl := func(r Ref) int {
-		if l := m.level(r); l != termLevel {
-			return int(l)
-		}
-		return m.nVars
+	gen := m.visit()
+	if len(m.counts) < len(m.nodes) { // SatCount creates no nodes
+		m.counts = make([]float64, len(m.nodes))
 	}
-	memo := map[Ref]float64{}
-	// rec(f) counts assignments of the variables at levels >= lvl(f).
-	var rec func(Ref) float64
-	rec = func(f Ref) float64 {
-		if f == False {
-			return 0
-		}
-		if f == True {
-			return 1
-		}
-		if c, ok := memo[f]; ok {
-			return c
-		}
-		n := m.nodes[f]
-		c := rec(n.lo)*pow2(lvl(n.lo)-int(n.level)-1) +
-			rec(n.hi)*pow2(lvl(n.hi)-int(n.level)-1)
-		memo[f] = c
-		return c
+	return m.satCount(f, gen) * pow2(m.satLevel(f))
+}
+
+// satLevel is the level of r, with the terminals below every variable.
+func (m *Manager) satLevel(r Ref) int {
+	if l := m.level(r); l != termLevel {
+		return int(l)
 	}
-	return rec(f) * pow2(lvl(f))
+	return m.nVars
+}
+
+// satCount counts the assignments of the variables at levels >=
+// satLevel(f), memoized in counts under the visit generation gen.
+func (m *Manager) satCount(f Ref, gen uint32) float64 {
+	if f == False {
+		return 0
+	}
+	if f == True {
+		return 1
+	}
+	if m.seen[f] == gen {
+		return m.counts[f]
+	}
+	n := m.nodes[f]
+	c := m.satCount(n.lo, gen)*pow2(m.satLevel(n.lo)-int(n.level)-1) +
+		m.satCount(n.hi, gen)*pow2(m.satLevel(n.hi)-int(n.level)-1)
+	m.seen[f] = gen
+	m.counts[f] = c
+	return c
 }
 
 func pow2(n int) float64 {

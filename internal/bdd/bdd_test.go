@@ -111,17 +111,17 @@ func TestExists(t *testing.T) {
 	a, b := m.Var(0), m.Var(1)
 	f := m.And(a, b)
 	// ∃a. a∧b = b
-	g := m.Exists(f, func(v int) bool { return v == 0 })
+	g := m.Exists(f, []bool{true, false, false})
 	if g != b {
 		t.Errorf("∃a.(a∧b) = %d, want b=%d", g, b)
 	}
 	// ∃a,b. a∧b = true
-	g = m.Exists(f, func(v int) bool { return v <= 1 })
+	g = m.Exists(f, []bool{true, true, false})
 	if g != True {
 		t.Error("∃a,b.(a∧b) should be True")
 	}
 	// ∃c (absent) is identity.
-	if m.Exists(f, func(v int) bool { return v == 2 }) != f {
+	if m.Exists(f, []bool{false, false, true}) != f {
 		t.Error("quantifying an absent variable changed f")
 	}
 }
@@ -130,7 +130,7 @@ func TestRename(t *testing.T) {
 	m := New(4)
 	// f over odd vars 1,3; rename to 0,2 (monotone).
 	f := m.And(m.Var(1), m.Var(3))
-	g := m.Rename(f, func(v int) int { return v - 1 })
+	g := m.Rename(f, []int{-1, 0, 1, 2})
 	want := m.And(m.Var(0), m.Var(2))
 	if g != want {
 		t.Errorf("rename result %d, want %d", g, want)
@@ -215,7 +215,10 @@ func TestAndExistsMatchesComposed(t *testing.T) {
 		}
 		f, g := rnd(), rnd()
 		qmask := r.Intn(1 << n)
-		quant := func(v int) bool { return qmask>>uint(v)&1 == 1 }
+		quant := make([]bool, n)
+		for v := range quant {
+			quant[v] = qmask>>uint(v)&1 == 1
+		}
 		got := m.AndExists(f, g, quant)
 		want := m.Exists(m.And(f, g), quant)
 		if got != want {

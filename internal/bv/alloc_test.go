@@ -57,6 +57,7 @@ func TestSmallOpsZeroAlloc(t *testing.T) {
 		"BackOr":     func() { sinkBV = BackOr(a, b) },
 		"BackXor":    func() { sinkBV = BackXor(a, b) },
 		"BackNot":    func() { sinkBV = BackNot(a) },
+		"BackSlice":  func() { sinkBV = BackSlice(a, 40, 64) },
 	}
 	for name, fn := range ops {
 		if raceEnabled {

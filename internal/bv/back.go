@@ -147,6 +147,16 @@ func BackSubMinuend(out, other BV) BV { return out.Add(other) }
 // out = a - b given the minuend a.
 func BackSubSubtrahend(out, minuend BV) BV { return minuend.Sub(out) }
 
+// BackSlice returns the implication on the input of a slice gate
+// in[lo+out.Width()-1 : lo] whose output cube is out: the output bits
+// map onto the window and every other input bit stays unknown. One blit
+// builds it, so a single-word input allocates nothing.
+func BackSlice(out BV, lo, inWidth int) BV {
+	r := NewX(inWidth)
+	blit(&r, lo, out, 0, out.width)
+	return r
+}
+
 // BackZext returns the implication on the input of a zero-extension
 // whose output cube is out: high output bits known 1 conflict (reported
 // by the caller via Refine), low bits map through.

@@ -118,3 +118,26 @@ func TestWideRefineScanMatchesRefine(t *testing.T) {
 		}
 	}
 }
+
+// TestBackSliceMatchesPerBit checks BackSlice against the per-bit
+// construction it replaces — an all-x input with the window's bits
+// set one at a time — for every input width 1–130 and every window
+// start, with windows of one bit, a random width and the rest of the
+// vector.
+func TestBackSliceMatchesPerBit(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for inW := 1; inW <= 130; inW++ {
+		for lo := 0; lo < inW; lo++ {
+			for _, hi := range []int{lo, lo + r.Intn(inW-lo), inW - 1} {
+				out := randCube(r, hi-lo+1)
+				want := NewX(inW)
+				for i := lo; i <= hi; i++ {
+					want = want.WithBit(i, out.Bit(i-lo))
+				}
+				if got := BackSlice(out, lo, inW); !got.Equal(want) {
+					t.Fatalf("BackSlice(%v, %d, %d) = %v, want %v", out, lo, inW, got, want)
+				}
+			}
+		}
+	}
+}

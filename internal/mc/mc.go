@@ -9,6 +9,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bdd"
@@ -101,21 +102,25 @@ type model struct {
 	// next-state constraints (next_i ↔ f_d[i]) grouped in state-bit
 	// order under a per-cluster node budget. nil in monolithic mode.
 	parts []bdd.Ref
-	// lastAt[v] is the index of the last cluster whose support
-	// contains variable v, or -1 — the early-quantification schedule:
-	// a current-state/input variable can be quantified out of the
-	// accumulating product right after the lastAt[v] fold step,
-	// because no later cluster reads it.
-	lastAt []int
+	// quantAt is the early-quantification schedule as quantifier
+	// masks: quantAt[0] holds the current-state/input variables no
+	// cluster reads (quantified up front), quantAt[i+1] those whose last
+	// reading cluster is parts[i] — no later cluster reads them, so they
+	// are quantified out of the accumulating product by that fold
+	// step's AndExists. nil in monolithic mode.
+	quantAt [][]bool
 	// quantDepth is the number of distinct quantification points the
-	// schedule has (fold steps owning at least one variable, plus one
-	// for the up-front step when some variable appears in no cluster).
+	// schedule has (non-empty quantAt masks).
 	quantDepth int
 	// quantOK[v] reports whether variable v is quantified away by the
 	// image (current-state and input variables; next-state variables
-	// survive and are renamed). isCur[v] marks current-state variables
-	// only — the projection countStates keeps.
-	quantOK, isCur []bool
+	// survive and are renamed) — the monolithic image's quantifier
+	// mask. notCur[v] marks every variable but the current-state ones:
+	// the mask countStates quantifies to project onto states.
+	quantOK, notCur []bool
+	// toCur renames next-state variables to current-state ones (v ->
+	// v-1, the layout's next = current + 1).
+	toCur []int
 }
 
 // layoutSizes returns the state-bit and input-bit counts of the
@@ -272,11 +277,17 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 			}
 		}
 	}
-	quantOK := make([]bool, m.NumVars())
-	isCur := make([]bool, m.NumVars())
+	nv := m.NumVars()
+	quantOK := make([]bool, nv)
+	notCur := make([]bool, nv)
+	toCur := make([]int, nv)
+	for v := range notCur {
+		notCur[v] = true
+		toCur[v] = v - 1
+	}
 	for k := 0; k < nState; k++ {
 		quantOK[curOf[k]] = true
-		isCur[curOf[k]] = true
+		notCur[curOf[k]] = false
 	}
 	for _, vs := range inVarOf {
 		for _, v := range vs {
@@ -284,17 +295,17 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 		}
 	}
 	mo := model{nState: nState, nIn: nIn, funcs: funcs, t: t, init: initR, parts: parts,
-		quantOK: quantOK, isCur: isCur}
+		quantOK: quantOK, notCur: notCur, toCur: toCur}
 	if !mono {
 		// Early-quantification schedule: the last cluster mentioning a
 		// variable is where it gets quantified out of the image
 		// product. Variables no cluster reads (unconstrained inputs,
 		// state bits feeding nothing) quantify up front.
-		mo.lastAt = make([]int, m.NumVars())
-		for v := range mo.lastAt {
-			mo.lastAt[v] = -1
+		lastAt := make([]int, nv)
+		for v := range lastAt {
+			lastAt[v] = -1
 		}
-		mark := make([]bool, m.NumVars())
+		mark := make([]bool, nv)
 		for i, p := range parts {
 			for v := range mark {
 				mark[v] = false
@@ -302,18 +313,21 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 			m.Support(p, mark)
 			for v, in := range mark {
 				if in {
-					mo.lastAt[v] = i
+					lastAt[v] = i
 				}
 			}
 		}
-		owns := make([]bool, len(parts)+1)
-		for v, i := range mo.lastAt {
+		mo.quantAt = make([][]bool, len(parts)+1)
+		for i := range mo.quantAt {
+			mo.quantAt[i] = make([]bool, nv)
+		}
+		for v, i := range lastAt {
 			if quantOK[v] {
-				owns[i+1] = true // index 0 = the up-front step
+				mo.quantAt[i+1][v] = true // index 0 = the up-front step
 			}
 		}
-		for _, o := range owns {
-			if o {
+		for _, q := range mo.quantAt {
+			if slices.Contains(q, true) {
 				mo.quantDepth++
 			}
 		}
@@ -336,7 +350,6 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 	if p.Kind == property.Witness {
 		bad = mon
 	}
-	isCurOrInput := func(v int) bool { return mo.quantOK[v] }
 	if !opts.MonolithicImage {
 		res.Partitions = len(mo.parts)
 		res.QuantDepth = mo.quantDepth
@@ -351,22 +364,17 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 	// never carry variables no remaining cluster reads.
 	image := func(reached bdd.Ref) bdd.Ref {
 		if opts.MonolithicImage {
-			img := m.Exists(m.And(m.And(mo.t, reached), assume), isCurOrInput)
-			return m.Rename(img, func(v int) int { return v - 1 })
+			img := m.Exists(m.And(m.And(mo.t, reached), assume), mo.quantOK)
+			return m.Rename(img, mo.toCur)
 		}
-		acc := m.And(reached, assume)
-		acc = m.Exists(acc, func(v int) bool {
-			return isCurOrInput(v) && mo.lastAt[v] < 0
-		})
+		acc := m.Exists(m.And(reached, assume), mo.quantAt[0])
 		for i, p := range mo.parts {
-			acc = m.AndExists(acc, p, func(v int) bool {
-				return isCurOrInput(v) && mo.lastAt[v] == i
-			})
+			acc = m.AndExists(acc, p, mo.quantAt[i+1])
 			if s := m.Size(acc); s > res.PeakImageNodes {
 				res.PeakImageNodes = s
 			}
 		}
-		return m.Rename(acc, func(v int) int { return v - 1 })
+		return m.Rename(acc, mo.toCur)
 	}
 
 	reached := mo.init
@@ -549,7 +557,7 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 // the states: input and next-state variables are quantified away and
 // their don't-care factor divided out of the satcount.
 func countStates(m *bdd.Manager, r bdd.Ref, mo model) float64 {
-	p := m.Exists(r, func(v int) bool { return !mo.isCur[v] })
+	p := m.Exists(r, mo.notCur)
 	return m.SatCount(p) / pow2(mo.nState+mo.nIn)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bv"
+	"repro/internal/circuits"
 	"repro/internal/netlist"
 	"repro/internal/property"
 )
@@ -232,5 +233,99 @@ func TestCompileRespectsNodeBudget(t *testing.T) {
 	_ = q
 	if _, err := Compile(nl, CompileOptions{MaxNodes: 300}); err == nil {
 		t.Fatal("compile under a tiny node budget succeeded, want error")
+	}
+}
+
+// bddPin is the expected BDD outcome of one benchmark property:
+// verdict, image iterations and peak node count (the engine's
+// mem_units).
+type bddPin struct {
+	id        string
+	verdict   Verdict
+	iters     int
+	peakNodes int
+}
+
+// pinnedDesigns are the fast benchmark designs with their BDD pins —
+// the values the engines workload of the repository benchmark expects.
+// Node counts are exact and machine-independent: a node is created only
+// when a unique-table lookup misses, so any change to the manager's
+// tables or memos that shifts one of these numbers changed what the
+// model checker computes, not just how fast.
+var pinnedDesigns = []struct {
+	name  string
+	build func() (*circuits.Design, error)
+	pins  []bddPin
+}{
+	{"addr_decoder", circuits.AddrDecoder, []bddPin{
+		{"p1", Falsified, 1, 33299}, {"p2", Proved, 32, 113506}}},
+	{"token_ring", func() (*circuits.Design, error) { return circuits.TokenRing(48) }, []bddPin{
+		{"p3", Proved, 47, 69654}, {"p4", Falsified, 5, 66282}}},
+	{"arbiter", func() (*circuits.Design, error) { return circuits.Arbiter(16) }, []bddPin{
+		{"p5", Proved, 2, 64116}, {"p6", Falsified, 1, 42815}}},
+	{"alarm_clock", circuits.AlarmClock, []bddPin{
+		{"p7", Proved, 59, 69466}, {"p8", Falsified, 2, 50111}, {"p9", Proved, 59, 69466}}},
+	{"industry_02", circuits.Industry02, []bddPin{{"p11", Proved, 2, 14855}}},
+	{"industry_03", circuits.Industry03, []bddPin{{"p12", Proved, 0, 10728}}},
+	{"industry_04", circuits.Industry04, []bddPin{{"p13", Proved, 0, 5853}}},
+	{"industry_05", circuits.Industry05, []bddPin{{"p14", Proved, 4, 222}}},
+}
+
+// TestBDDPins checks the compiled-model reachability of every pinned
+// property against its exact iteration and peak-node counts.
+func TestBDDPins(t *testing.T) {
+	for _, pd := range pinnedDesigns {
+		d, err := pd.build()
+		if err != nil {
+			t.Fatalf("%s: %v", pd.name, err)
+		}
+		if len(d.Props) != len(pd.pins) {
+			t.Fatalf("%s: %d properties, %d pins", pd.name, len(d.Props), len(pd.pins))
+		}
+		comp, err := Compile(d.NL, CompileOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", pd.name, err)
+		}
+		for i, p := range d.Props {
+			want := pd.pins[i]
+			if d.PropIDs[i] != want.id {
+				t.Fatalf("%s: property %d is %s, pin is for %s", pd.name, i, d.PropIDs[i], want.id)
+			}
+			got := comp.CheckCtx(context.Background(), p, Options{})
+			if got.Verdict != want.verdict || got.Iters != want.iters || got.PeakNodes != want.peakNodes {
+				t.Errorf("%s %s: {%v iters=%d peak=%d}, want {%v iters=%d peak=%d}",
+					pd.name, want.id, got.Verdict, got.Iters, got.PeakNodes,
+					want.verdict, want.iters, want.peakNodes)
+			}
+		}
+	}
+}
+
+var imageSink Result
+
+// BenchmarkImage times one BDD job per design — compile the symbolic
+// model, then check every property from the snapshot — on Arbiter(16)
+// and industry_02.
+func BenchmarkImage(b *testing.B) {
+	for _, pd := range pinnedDesigns {
+		if pd.name != "arbiter" && pd.name != "industry_02" {
+			continue
+		}
+		d, err := pd.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(pd.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				comp, err := Compile(d.NL, CompileOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range d.Props {
+					imageSink = comp.CheckCtx(context.Background(), p, Options{})
+				}
+			}
+		})
 	}
 }
